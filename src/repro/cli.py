@@ -56,11 +56,9 @@ footprint-directed partial-order reduction (default: the ``REPRO_POR``
 environment setting, on unless set to ``0``), ``--jobs N`` to
 shard the exploration across ``N`` forked worker processes (default:
 the ``REPRO_JOBS`` environment setting, 1 = sequential; see
-:mod:`repro.semantics.parallel`), and
-``--closure-compile/--no-closure-compile`` to control closure
-compilation of the step interpreters (default: the ``REPRO_CLOSURE``
-environment setting, on unless set to ``0``; see
-:mod:`repro.lang.closure`).
+:mod:`repro.semantics.parallel`). Every exploration steps each
+language's one step relation through the step-outcome memo of
+:mod:`repro.lang.closure`; there is no switch for it.
 
 Exit codes are uniform across commands: **0** — success (program is
 DRF, behaviours printed, validation passed, replay reproduced);
@@ -80,7 +78,6 @@ import sys
 
 from repro import obs
 from repro.common.serialize import ENV_STATELESS
-from repro.lang import closure
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
@@ -197,7 +194,6 @@ def _note_run_config(args, result, entries):
         name
         for name, on in (
             ("por", bool(por)),
-            ("closure", closure.enabled()),
             ("stateless-wire", bool(os.environ.get(ENV_STATELESS))),
             ("heap-profile", heap.enabled()),
         )
@@ -209,7 +205,6 @@ def _note_run_config(args, result, entries):
         lock=bool(args.lock),
         optimize=bool(args.optimize),
         por=bool(por),
-        closure_compile=closure.enabled(),
         jobs=getattr(args, "jobs", 1),
         max_states=getattr(args, "max_states", None),
         max_atomic_steps=getattr(args, "max_atomic_steps", None),
@@ -605,15 +600,6 @@ def make_parser():
             "setting, on unless set to 0)",
         )
 
-    def closure_flag(p):
-        p.add_argument(
-            "--closure-compile",
-            action=argparse.BooleanOptionalAction, default=None,
-            help="closure-compile the step interpreters before "
-            "exploring (default: REPRO_CLOSURE env setting, on "
-            "unless set to 0)",
-        )
-
     def jobs_flag(p):
         p.add_argument(
             "-j", "--jobs", type=int, default=default_jobs(),
@@ -627,7 +613,6 @@ def make_parser():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument(
         "--threads", default="main",
@@ -649,7 +634,6 @@ def make_parser():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument("--threads", default="main")
     p.add_argument("--max-states", type=int, default=400000)
@@ -675,7 +659,6 @@ def make_parser():
     common(p)
     por_flag(p)
     jobs_flag(p)
-    closure_flag(p)
     live_flags(p)
     p.add_argument("--threads", default="main")
     p.add_argument("--max-states", type=int, default=400000)
@@ -902,10 +885,6 @@ def main(argv=None):
     show_summary = getattr(args, "metrics", False) or os.environ.get(
         obs.ENV_METRICS, ""
     ).strip().lower() in ("1", "true", "yes", "on")
-    # --closure-compile/--no-closure-compile layers on REPRO_CLOSURE
-    # the same way --por layers on REPRO_POR: an explicit flag wins,
-    # an omitted one defers to the environment.
-    closure.set_enabled(getattr(args, "closure_compile", None))
     code = 2
     try:
         result = args.func(args)

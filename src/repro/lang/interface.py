@@ -58,20 +58,6 @@ class ModuleLanguage(ABC):
             return None
         return functions.keys()
 
-    def stage_module(self, module):
-        """Closure-compile ``module``'s step relation (staging hook).
-
-        Returns ``(step, nodes_compiled)`` where ``step(core, mem,
-        flist)`` behaves exactly like :meth:`step` with ``module``
-        bound — same outcome lists, same footprints, same aborts — or
-        ``None`` to keep the interpreter. The default keeps the
-        interpreter; see :mod:`repro.lang.closure` for the cache, the
-        ``REPRO_CLOSURE`` gate and the soundness contract (compiled
-        closures live in side tables keyed by node, never inside
-        cores, so state hashing/pickling is unaffected).
-        """
-        return None
-
     def after_external(self, core, retval):
         """Resume a core that emitted ``CallMsg`` with the callee's result.
 

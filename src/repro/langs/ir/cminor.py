@@ -410,15 +410,5 @@ class CminorLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        # Lazy: the compiler imports this module's nodes and cores.
-        # CminorSel inherits this hook; artifacts stay separate because
-        # the staging cache keys on the language instance.
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_stmt_module(
-            self, module, CmCore, EAddrStack
-        )
-
 
 CMINOR = CminorLang()

@@ -477,10 +477,5 @@ class MachLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_mach_module(self, module)
-
 
 MACH = MachLang()

@@ -427,10 +427,5 @@ class RTLLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        from repro.langs.ir import compile as ircompile
-
-        return ircompile.stage_rtl_module(self, module)
-
 
 RTL = RTLLang()

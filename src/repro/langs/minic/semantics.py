@@ -448,13 +448,6 @@ class MiniCLang(ModuleLanguage):
     def is_final(self, module, core):
         return core is not None and core.done
 
-    def stage_module(self, module):
-        # Imported lazily: the compiler imports frames/cores/_flatten
-        # from this module.
-        from repro.langs.minic import compile as mcompile
-
-        return mcompile.stage_module(self, module)
-
 
 #: Shared language instance.
 MINIC = MiniCLang()

@@ -26,7 +26,7 @@ from repro.lang.messages import (
     SpawnMsg,
     is_silent,
 )
-from repro.lang.steps import Step, StepAbort
+from repro.lang.steps import StepAbort
 from repro.semantics.world import Frame
 
 #: Context-switch label.
@@ -114,44 +114,21 @@ _T_CALL = 5
 _T_SPAWN = 6
 _T_ABORT = 7
 
-#: Bound on each context's (frame, mem) → template table; cleared and
-#: rebuilt on overflow, like the intern tables.
+#: Bound on each context's (frame, mem) → template table and its
+#: (caller, retval) → resumed-frame table; each is cleared and rebuilt
+#: on overflow, like the intern tables.
 TEMPLATE_MAX = 1 << 19
 
 
-def thread_successors(ctx, world, outcomes=None):
+def thread_successors(ctx, world):
     """Execute one step of the current thread; no scheduling decisions.
 
     Returns a list of :class:`GStep` / :class:`GAbort` /
     :class:`SyncPoint`. SyncPoints are steps at which the non-preemptive
     semantics switches; the preemptive semantics converts them to plain
     GSteps (it has its own free Switch rule instead).
-
-    ``outcomes`` lets a caller that already ran the local step function
-    for this world (the POR ample decision) pass the raw outcome list
-    in, so full expansions after a refused reduction don't step twice.
     """
-    if outcomes is None:
-        return thread_expansion(ctx, world)[1] or []
-    frame = world.top_frame()
-    if frame is None:
-        return []
-    decl = ctx.module(frame.mod_idx)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, StepAbort):
-            results.append(GAbort(outcome.reason))
-            continue
-        results.append(_process_step(ctx, world, frame, decl, outcome))
-    if obs.enabled:
-        # One flag test on the disabled path; detailed edge-kind
-        # accounting happens post-hoc in the explorer.
-        obs.inc("engine.expansions")
-        obs.inc("engine.outcomes", len(results))
-        for r in results:
-            if isinstance(r, GAbort):
-                obs.inc("engine.aborts")
-    return results
+    return thread_expansion(ctx, world)[1] or []
 
 
 def thread_expansion(ctx, world):
@@ -160,56 +137,39 @@ def thread_expansion(ctx, world):
     The one-call expansion both exploration drivers use. Returns
     ``(None, None)`` when the current thread has terminated.
 
-    With closure compilation on, the local step goes through the
-    staged module (:mod:`repro.lang.closure`) and the message
-    processing through a **successor template** cached per
-    ``(frame, mem)`` on the context: everything world-independent —
-    the stepped frame, the successor memory, footprints, ent/ext
-    purity validation — is computed once, and per-world assembly only
-    splices in what actually depends on the world (atomic-bit checks,
-    freelists, stack pops, thread creation). Both caches key on
-    immutable interned values, so equal states hit regardless of the
-    path that produced them.
+    The local step goes through the step-outcome memo
+    (:mod:`repro.lang.closure`) and the message processing through a
+    **successor template** cached per ``(frame, mem)`` on the context:
+    everything world-independent — the stepped frame, the successor
+    memory, footprints, ent/ext purity validation — is computed once,
+    and per-world assembly only splices in what actually depends on
+    the world (atomic-bit checks, freelists, stack pops, thread
+    creation). Both caches key on immutable interned values, so equal
+    states hit regardless of the path that produced them.
     """
     frame = world.top_frame()
     if frame is None:
         return None, None
-    if ctx.staging:
-        cache = ctx.succ_templates
-        key = (frame, world.mem)
-        entry = cache.get(key)
-        if entry is None:
-            decl = ctx.module(frame.mod_idx)
-            outcomes = _closure.step_outcomes(
-                decl, frame.core, world.mem, frame.flist
-            )
-            entry = (outcomes, _build_template(frame, world.mem, outcomes))
-            if len(cache) >= TEMPLATE_MAX:
-                cache.clear()
-            cache[key] = entry
-        outcomes, template = entry
-        # Fast path: the overwhelmingly common deterministic silent
-        # step (one τ entry) skips the assembly loop.
-        if len(template) == 1 and template[0][0] == _T_TAU:
-            e = template[0]
-            results = [
-                GStep(None, e[1], world.replace_top(e[2], mem=e[3]))
-            ]
-        else:
-            results = _assemble(ctx, world, template)
-    else:
+    cache = ctx.succ_templates
+    key = (frame, world.mem)
+    entry = cache.get(key)
+    if entry is None:
         decl = ctx.module(frame.mod_idx)
-        outcomes = decl.lang.step(
-            decl.code, frame.core, world.mem, frame.flist
+        outcomes = _closure.step_outcomes(
+            decl, frame.core, world.mem, frame.flist
         )
-        results = []
-        for outcome in outcomes:
-            if isinstance(outcome, StepAbort):
-                results.append(GAbort(outcome.reason))
-            else:
-                results.append(
-                    _process_step(ctx, world, frame, decl, outcome)
-                )
+        entry = (outcomes, _build_template(frame, world.mem, outcomes))
+        if len(cache) >= TEMPLATE_MAX:
+            cache.clear()
+        cache[key] = entry
+    outcomes, template = entry
+    # Fast path: the overwhelmingly common deterministic silent step
+    # (one τ entry) skips the assembly loop.
+    if len(template) == 1 and template[0][0] == _T_TAU:
+        e = template[0]
+        results = [GStep(None, e[1], world.replace_top(e[2], mem=e[3]))]
+    else:
+        results = _assemble(ctx, world, template)
     if obs.enabled:
         obs.inc("engine.expansions")
         obs.inc("engine.outcomes", len(results))
@@ -224,10 +184,9 @@ def _build_template(frame, mem, outcomes):
 
     Each entry is a small tuple headed by a ``_T_*`` kind; the
     world-dependent residue (bit checks, freelist allocation, caller
-    resumption) is left to :func:`_assemble`, which replicates
-    :func:`_process_step` exactly. Purity violations of the atomic
-    boundary messages are world-independent, so they surface here — at
-    the same expansion that would have raised interpretively.
+    resumption) is left to :func:`_assemble`. Purity violations of the
+    atomic boundary messages (Fig. 7 EntAt/ExtAt) are world-independent,
+    so they surface here, at the first expansion that reaches the step.
     """
     entries = []
     for step in outcomes:
@@ -285,6 +244,8 @@ def _assemble(ctx, world, template):
                     resumed = caller.with_core(
                         caller_decl.lang.after_external(caller.core, value)
                     )
+                    if len(rcache) >= TEMPLATE_MAX:
+                        rcache.clear()
                     rcache[rkey] = resumed
                 append(GStep(None, fp, popped.replace_top(resumed)))
             else:
@@ -327,6 +288,8 @@ def _assemble(ctx, world, template):
                 append(GAbort("spawn of unresolved {!r}".format(fname)))
             else:
                 mod_idx, core = resolved
+                # The new thread gets a fresh, disjoint freelist — the
+                # paper's requirement for the spawn step.
                 child = Frame.make(mod_idx, ctx.spawn_flist(world), core)
                 append(SyncPoint(
                     "spawn", None, fp,
@@ -335,82 +298,6 @@ def _assemble(ctx, world, template):
         else:  # _T_ABORT
             append(GAbort(entry[1]))
     return results
-
-
-def _process_step(ctx, world, frame, decl, step):
-    msg = step.msg
-    bit = world.bits[world.cur]
-
-    if is_silent(msg):
-        nxt = world.replace_top(frame.with_core(step.core), mem=step.mem)
-        return GStep(None, step.fp, nxt)
-
-    if msg is ENT_ATOM:
-        if bit != 0:
-            raise SemanticsError("nested atomic block")
-        if not step.fp.is_empty() or step.mem != world.mem:
-            raise SemanticsError("EntAtom must be pure (Fig. 7 EntAt)")
-        nxt = world.replace_top(
-            frame.with_core(step.core), mem=step.mem, bit=1
-        )
-        return SyncPoint("ent", None, step.fp, nxt)
-
-    if msg is EXT_ATOM:
-        if bit != 1:
-            raise SemanticsError("ExtAtom outside an atomic block")
-        if not step.fp.is_empty() or step.mem != world.mem:
-            raise SemanticsError("ExtAtom must be pure (Fig. 7 ExtAt)")
-        nxt = world.replace_top(
-            frame.with_core(step.core), mem=step.mem, bit=0
-        )
-        return SyncPoint("ext", None, step.fp, nxt)
-
-    if isinstance(msg, EventMsg):
-        nxt = world.replace_top(frame.with_core(step.core), mem=step.mem)
-        return SyncPoint("event", msg, step.fp, nxt)
-
-    if isinstance(msg, RetMsg):
-        popped = world.replace_top(
-            frame.with_core(step.core), mem=step.mem
-        ).pop_frame()
-        if popped.threads[world.cur]:
-            # Return to the caller activation: resume its waiting core.
-            caller = popped.top_frame()
-            caller_decl = ctx.module(caller.mod_idx)
-            resumed = caller_decl.lang.after_external(
-                caller.core, msg.value
-            )
-            nxt = popped.replace_top(caller.with_core(resumed))
-            return GStep(None, step.fp, nxt)
-        # Bottom activation: the thread terminates.
-        return SyncPoint("term", None, step.fp, popped)
-
-    if isinstance(msg, CallMsg):
-        advanced = world.replace_top(
-            frame.with_core(step.core), mem=step.mem
-        )
-        resolved = ctx.resolve(msg.fname, msg.args)
-        if resolved is None:
-            return GAbort("unresolved external {!r}".format(msg.fname))
-        mod_idx, core = resolved
-        callee = Frame.make(mod_idx, ctx.next_flist(world), core)
-        return GStep(None, step.fp, advanced.push_frame(callee))
-
-    if isinstance(msg, SpawnMsg):
-        advanced = world.replace_top(
-            frame.with_core(step.core), mem=step.mem
-        )
-        resolved = ctx.resolve(msg.fname, ())
-        if resolved is None:
-            return GAbort("spawn of unresolved {!r}".format(msg.fname))
-        mod_idx, core = resolved
-        # The new thread gets a fresh, disjoint freelist — the paper's
-        # requirement for the spawn step.
-        child = Frame.make(mod_idx, ctx.spawn_flist(world), core)
-        return SyncPoint("spawn", None, step.fp,
-                         advanced.add_thread(child))
-
-    raise SemanticsError("unknown message {!r}".format(msg))
 
 
 def switch_targets(world, include_self):

@@ -35,7 +35,6 @@ from collections import deque
 from repro import obs
 from repro.common import intern
 from repro.common.memory import STATS as MEM_STATS
-from repro.lang import closure as _closure
 from repro.lang.messages import EventMsg
 from repro.obs import heap as _heap
 from repro.obs import status as _status
@@ -195,12 +194,6 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
             por=use_por,
             budget=max_states,
         )
-    ctx.staging = _closure.enabled()
-    if ctx.staging:
-        # Stage every module up front, in its own span: compile time is
-        # a phase of its own, never booked against expansion.
-        with obs.span("closure_compile"):
-            _closure.prime(ctx)
     with obs.span(
         "explore",
         semantics=type(semantics).__name__,
@@ -462,7 +455,7 @@ def _explore_reduced(ctx, semantics, max_states, strict, observer):
                 edges = []
                 children = []
                 outs_full = successors(
-                    ctx, world, outs, thread_results=results
+                    ctx, world, thread_results=results
                 )
                 if not outs_full:
                     graph.stuck.add(sid)

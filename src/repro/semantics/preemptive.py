@@ -28,20 +28,18 @@ class PreemptiveSemantics:
         #: metadata can never disagree on the configured horizon.
         self.max_atomic_steps = max_atomic_steps
 
-    def successors(self, ctx, world, outcomes=None, thread_results=None):
+    def successors(self, ctx, world, thread_results=None):
         """All global steps from ``world``: thread steps plus Switch.
 
         A terminated current thread yields only switch edges; a fully
         terminated world yields no successors (the ``done`` outcome).
-        ``outcomes`` optionally carries the precomputed raw outcome
-        list of the current thread (see
-        :func:`repro.semantics.engine.thread_successors`);
-        ``thread_results`` the already-processed global outcomes (the
-        POR ample decision computes them, so a refused reduction adds
-        only the Switch edges).
+        ``thread_results`` optionally carries the already-processed
+        global outcomes of the current thread (the POR ample decision
+        computes them, so a refused reduction adds only the Switch
+        edges).
         """
         if thread_results is None:
-            thread_results = thread_successors(ctx, world, outcomes)
+            thread_results = thread_successors(ctx, world)
         results = []
         for outcome in thread_results:
             if isinstance(outcome, SyncPoint):

@@ -305,19 +305,13 @@ class GlobalContext:
         # every call site; sharing also makes the interned callee
         # frames pointer-equal.
         self._core_cache = {}
-        # Engine-side staging caches (see semantics.engine): successor
+        # Engine-side caches (see semantics.engine): successor
         # templates keyed (frame, mem) and external-return resumptions
         # keyed (caller_frame, retval). Per-context, not global —
         # ``Frame.mod_idx`` is program-relative, so templates must
         # never leak between programs.
         self.succ_templates = {}
         self.resume_cache = {}
-        # Hoisted REPRO_CLOSURE gate: one env read per context instead
-        # of one per expansion. explore() refreshes it per run, so
-        # toggling the env between runs over a shared context works.
-        from repro.lang import closure as _closure
-
-        self.staging = _closure.enabled()
 
     def _build_resolve_table(self):
         table = {}

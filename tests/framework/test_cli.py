@@ -98,27 +98,6 @@ class TestRun:
         assert "print:10" in out
 
 
-class TestClosureFlag:
-    def test_no_closure_compile_disables_staging(self, seq_file, capsys):
-        from repro.lang import closure
-
-        closure.set_enabled(None)
-        closure.clear_cache()
-        try:
-            assert main(["run", seq_file, "--no-closure-compile"]) == 0
-            assert not closure.enabled()
-            assert not closure._cache
-            off_out = capsys.readouterr().out
-            assert main(["run", seq_file, "--closure-compile"]) == 0
-            assert closure.enabled()
-            assert closure._cache
-            on_out = capsys.readouterr().out
-            assert on_out == off_out
-        finally:
-            closure.set_enabled(None)
-            closure.clear_cache()
-
-
 class TestValidate:
     def test_all_passes_ok(self, client_file, capsys):
         assert main(["validate", client_file, "--lock"]) == 0

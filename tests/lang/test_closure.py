@@ -1,29 +1,23 @@
-"""Unit tests for the closure-compilation framework itself.
+"""Unit tests for the step-outcome memo (:mod:`repro.lang.closure`).
 
-The per-language compilers are covered extensionally by
-``tests/langs/test_closure_differential.py``; this file pins down the
-language-independent machinery: the ``REPRO_CLOSURE`` gate, the compile
-cache and its keying, the interpreter fallback for languages without a
-staging hook, the step-outcome memo, and ``prime``.
+The memo's contracts: outcome lists are shared per ``(lang, module,
+core, mem, flist)`` key, both tables stay under their bounds,
+``clear_cache`` empties them, and ``step_outcomes`` returns exactly
+what ``lang.step`` returns — aborts and their reasons included.
 """
 
 import pytest
 
-from repro.lang import closure
-from repro.lang.steps import Step
-from repro.lang.messages import TAU
 from repro.common.footprint import EMP
-from repro.semantics.world import GlobalContext
-
-from tests.helpers import cimp_program
+from repro.lang import closure
+from repro.lang.messages import TAU
+from repro.lang.steps import Step, StepAbort
 
 
 @pytest.fixture(autouse=True)
 def _restore():
-    closure.set_enabled(None)
     closure.clear_cache()
     yield
-    closure.set_enabled(None)
     closure.clear_cache()
 
 
@@ -31,10 +25,10 @@ class FakeModule:
     pass
 
 
-class InterpOnlyLang:
-    """Duck-typed language without a staging hook."""
+class CountingLang:
+    """Duck-typed language whose step counts its calls."""
 
-    name = "interp-only"
+    name = "counting"
 
     def __init__(self):
         self.calls = 0
@@ -44,137 +38,93 @@ class InterpOnlyLang:
         return [Step(TAU, EMP, core, mem)]
 
 
-class StagedLang(InterpOnlyLang):
-    """Duck-typed language whose hook compiles a trivial step."""
-
-    name = "staged"
-
-    def __init__(self):
-        super().__init__()
-        self.staged_calls = 0
-
-    def stage_module(self, module):
-        def step(core, mem, flist):
-            self.staged_calls += 1
-            return [Step(TAU, EMP, core, mem)]
-
-        return step, 7
-
-
 class FakeDecl:
     def __init__(self, lang, code):
         self.lang = lang
         self.code = code
 
 
-class TestGate:
-    def test_default_on(self):
-        assert closure.enabled(environ={})
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "",
-                                       " 0 ", "FALSE", "Off"])
-    def test_off_values(self, value):
-        assert not closure.enabled(environ={closure.ENV_CLOSURE: value})
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes"])
-    def test_on_values(self, value):
-        assert closure.enabled(environ={closure.ENV_CLOSURE: value})
-
-    def test_override_beats_env(self):
-        closure.set_enabled(False)
-        assert not closure.enabled(environ={closure.ENV_CLOSURE: "1"})
-        closure.set_enabled(True)
-        assert closure.enabled(environ={closure.ENV_CLOSURE: "0"})
-        closure.set_enabled(None)
-        assert closure.enabled(environ={})
+def outcomes(lang, module, core="core"):
+    return closure.step_outcomes(FakeDecl(lang, module), core, "mem", "fl")
 
 
 class TestStageCache:
     def test_artifact_cached_per_lang_and_module(self):
-        lang, module = StagedLang(), FakeModule()
-        first = closure.stage(lang, module)
-        assert first is closure.stage(lang, module)
-        # Another language instance staging the same module gets its
-        # own artifact (x86-SC vs x86-TSO stage the same x86 module
-        # but bind different memory hooks).
-        other = closure.stage(StagedLang(), module)
-        assert other is not first
-        # Another module under the first language too.
-        assert closure.stage(lang, FakeModule()) is not first
-
-    def test_compiled_artifact(self):
-        staged = closure.stage(StagedLang(), FakeModule())
-        assert staged.compiled
-        assert staged.nodes_compiled == 7
-
-    def test_interp_fallback(self):
-        lang = InterpOnlyLang()
-        staged = closure.stage(lang, FakeModule())
-        assert not staged.compiled
-        assert staged.nodes_compiled == 0
-        staged.step("core", "mem", "flist")
-        assert lang.calls == 1
+        """One memo per (language instance, module): x86-SC and x86-TSO
+        step the same x86 module with different memory hooks."""
+        lang, module = CountingLang(), FakeModule()
+        first = outcomes(lang, module)
+        assert outcomes(lang, module) is first
+        other = CountingLang()
+        assert outcomes(other, module) is not first
+        assert other.calls == 1
+        assert outcomes(lang, FakeModule()) is not first
+        assert lang.calls == 2
 
     def test_cache_bound(self):
-        lang = StagedLang()
+        lang = CountingLang()
         modules = [FakeModule() for _ in range(closure.CACHE_MAX + 10)]
         for module in modules:
-            closure.stage(lang, module)
+            outcomes(lang, module)
         assert len(closure._cache) <= closure.CACHE_MAX
 
 
 class TestMemo:
     def test_outcomes_shared(self):
-        lang = StagedLang()
-        staged = closure.stage(lang, FakeModule())
-        a = staged.outcomes("core", "mem", "flist")
-        b = staged.outcomes("core", "mem", "flist")
+        lang, module = CountingLang(), FakeModule()
+        a = outcomes(lang, module)
+        b = outcomes(lang, module)
         assert a is b
-        assert lang.staged_calls == 1
-        staged.outcomes("core2", "mem", "flist")
-        assert lang.staged_calls == 2
+        assert lang.calls == 1
+        outcomes(lang, module, core="core2")
+        assert lang.calls == 2
 
     def test_memo_bound(self):
-        lang = StagedLang()
-        staged = closure.stage(lang, FakeModule())
-        staged.memo = {i: [] for i in range(closure.MEMO_MAX)}
-        staged.outcomes("core", "mem", "flist")
-        assert len(staged.memo) == 1
+        lang, module = CountingLang(), FakeModule()
+        outcomes(lang, module)
+        memo = closure._cache[(id(lang), id(module))][2]
+        memo.update((i, []) for i in range(closure.MEMO_MAX - 1))
+        assert len(memo) == closure.MEMO_MAX
+        outcomes(lang, module, core="fresh")
+        assert len(memo) == 1
+
+    def test_clear_cache_empties(self):
+        lang, module = CountingLang(), FakeModule()
+        outcomes(lang, module)
+        assert closure._cache
+        closure.clear_cache()
+        assert not closure._cache
+        outcomes(lang, module)
+        assert lang.calls == 2
 
 
 class TestStepOutcomes:
-    def test_disabled_routes_to_interpreter(self):
-        closure.set_enabled(False)
-        lang = StagedLang()
-        decl = FakeDecl(lang, FakeModule())
-        closure.step_outcomes(decl, "core", "mem", "flist")
-        assert lang.calls == 1
-        assert lang.staged_calls == 0
-        assert not closure._cache
+    def test_returns_exactly_lang_step(self):
+        lang = CountingLang()
+        module = FakeModule()
+        got = outcomes(lang, module)
+        want = lang.step(module, "core", "mem", "fl")
+        assert len(got) == len(want) == 1
+        assert (got[0].msg, got[0].fp, got[0].core, got[0].mem) == (
+            want[0].msg, want[0].fp, want[0].core, want[0].mem
+        )
 
-    def test_enabled_routes_to_staged(self):
-        closure.set_enabled(True)
-        lang = StagedLang()
-        decl = FakeDecl(lang, FakeModule())
-        closure.step_outcomes(decl, "core", "mem", "flist")
-        closure.step_outcomes(decl, "core", "mem", "flist")
-        assert lang.calls == 0
-        assert lang.staged_calls == 1  # second hit memoized
+    def test_abort_reason_preserved(self):
+        class AbortLang:
+            def step(self, module, core, mem, flist):
+                return [
+                    Step(TAU, EMP, core, mem),
+                    StepAbort(reason="div by zero"),
+                ]
 
+        got = outcomes(AbortLang(), FakeModule())
+        assert isinstance(got[0], Step)
+        assert isinstance(got[1], StepAbort)
+        assert got[1].reason == "div by zero"
 
-class TestPrime:
-    def test_prime_stages_every_module(self):
-        closure.set_enabled(True)
-        prog = cimp_program("main(){ [C] := 1; }", ["main"])
-        ctx = GlobalContext(prog)
-        closure.clear_cache()
-        closure.prime(ctx)
-        assert len(closure._cache) == len(ctx.modules)
+    def test_empty_outcome_list(self):
+        class StuckLang:
+            def step(self, module, core, mem, flist):
+                return []
 
-    def test_prime_noop_when_disabled(self):
-        closure.set_enabled(False)
-        prog = cimp_program("main(){ [C] := 1; }", ["main"])
-        ctx = GlobalContext(prog)
-        closure.clear_cache()
-        closure.prime(ctx)
-        assert not closure._cache
+        assert outcomes(StuckLang(), FakeModule()) == []

@@ -130,7 +130,6 @@ class TestManifestWriting:
         assert doc["exit_status"] == 0
         assert doc["states"] > 0
         assert doc["config"]["por"] in (True, False)
-        assert "closure_compile" in doc["config"]
         assert len(doc["content_hash"]) == 64
         assert doc["wall_seconds"] > 0
         assert "explore" in doc["phases"]
