@@ -8,7 +8,8 @@ Commands:
   enumerate the behaviours of the program under the preemptive
   semantics (optionally linked against the lock object);
 * ``validate FILE [-O] [--max-failures N]`` — translation-validate
-  every pass;
+  every pass (its ledger manifest records the verdict, each pass's
+  ok/failed and the segment/step totals);
 * ``drf FILE --threads entry1,entry2 [--lock]`` — race-check; with
   ``--witness-out W`` a found race is written as a replayable witness
   artifact (``--minimize`` shrinks it first);
@@ -252,8 +253,8 @@ def cmd_validate(args):
     result = compile_minic(module, optimize=args.optimize)
     mem = genv.memory()
     cap = max(args.max_failures, 0)
-    ok = True
-    for v in validate_compilation(result, mem, mem.domain()):
+    validations = validate_compilation(result, mem, mem.domain())
+    for v in validations:
         status = "ok" if v.ok else "FAILED"
         print("{:14s} {}".format(v.pass_name, status))
         shown = v.report.failures[:cap]
@@ -262,8 +263,24 @@ def cmd_validate(args):
         extra = len(v.report.failures) - len(shown)
         if extra > 0:
             print("     (+{} more)".format(extra))
-        ok = ok and v.ok
-    return 0 if ok else 1
+    failed = [v.pass_name for v in validations if not v.ok]
+    stats = [v.report.stats for v in validations]
+    pipeline = [s.name for s in result.stages]
+    ledger.set_config(
+        file=args.file, lock=bool(args.lock), optimize=bool(args.optimize)
+    )
+    ledger.note(
+        content_hash=ledger.content_hash(args.file, pipeline),
+        pipeline=pipeline,
+        verdict="rejected" if failed else "validated",
+        passes={
+            v.pass_name: "ok" if v.ok else "failed" for v in validations
+        },
+        failed_passes=failed,
+        segments=sum(st.segments for st in stats),
+        co_exec_steps=sum(st.src_steps + st.tgt_steps for st in stats),
+    )
+    return 1 if failed else 0
 
 
 def cmd_drf(args):

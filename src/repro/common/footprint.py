@@ -92,6 +92,10 @@ class Footprint:
 
     def union(self, other):
         """``δ ∪ δ'`` — componentwise union (Fig. 6)."""
+        if other is self or not (other.rs or other.ws):
+            return self
+        if not (self.rs or self.ws):
+            return other
         return Footprint(self.rs | other.rs, self.ws | other.ws)
 
     def subset_of(self, other):
@@ -103,17 +107,19 @@ class Footprint:
 
     def restricted(self, region):
         """The part of this footprint inside ``region`` (a set of addrs)."""
+        if not (self.rs or self.ws):
+            return self
         region = frozenset(region)
         return Footprint(self.rs & region, self.ws & region)
 
-    def within(self, region):
-        """True iff every touched location lies in ``region``.
+    def within(self, region, other=()):
+        """True iff every touched location lies in ``region ∪ other``.
 
-        This is the in-scope condition ``δ ⊆ (F ∪ S)`` of Def. 3, where
-        ``region`` is the union of the module's freelist addresses and the
-        shared locations.
+        This is the in-scope condition ``δ ⊆ (F ∪ S)`` of Def. 3, with the
+        module's freelist addresses and the shared locations passed as the
+        two sets (tested by membership, never unioned).
         """
-        return all(l in region for l in self.locs())
+        return all(l in region or l in other for l in self.locs())
 
 
 #: The empty footprint ``emp``.

@@ -305,7 +305,7 @@ def compare_manifests(a, b, tolerance=0.4):
             )
             if same_input:
                 regressions.append(("fingerprint", -1.0))
-    for key in ("verdict", "exit_status"):
+    for key in ("verdict", "failed_passes", "exit_status"):
         va, vb = a.get(key), b.get(key)
         if va != vb:
             lines.append("{}: {} vs {} — DIFFER".format(key, va, vb))

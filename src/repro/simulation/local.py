@@ -80,6 +80,9 @@ class SimulationReport:
     def __init__(self):
         self.failures = []
         self.stats = SimulationStats()
+        #: Segments served by the checker's memo rather than co-executed
+        #: (not an obligation count: it depends on what ran before).
+        self.memo_hits = 0
 
     @property
     def ok(self):
@@ -111,9 +114,24 @@ class _Segment:
         self.steps = steps
         self.reason = reason
 
+    def carrying(self, carry):
+        """This segment with ``carry`` folded into its accumulated
+        footprint. Segments are memoized and shared, so a non-empty
+        carry builds a new segment instead of mutating this one."""
+        acc = self.acc.union(carry)
+        if acc is self.acc:
+            return self
+        return _Segment(self.kind, self.msg, self.core, self.mem, acc,
+                        self.step_fps, self.steps, self.reason)
+
 
 def _run_to_message(lang, module, core, mem, flist, shared, max_tau):
-    """Deterministically run to the next non-silent message."""
+    """Deterministically run to the next non-silent message.
+
+    Pure — ``lang.step`` is (the :class:`ModuleLanguage` contract) — so
+    the checker memoizes the returned segment; callers must not mutate
+    it.
+    """
     acc = EMP
     step_fps = []
     steps = 0
@@ -212,7 +230,7 @@ class LocalSimulationChecker:
     def __init__(self, src_lang, src_module, tgt_lang, tgt_module, mu,
                  max_tau=5000, max_segments=500, rely_limit=1,
                  rely_budget=64, ext_returns=(VInt(0), VInt(7)),
-                 lockstep=False, roach_motel=False):
+                 lockstep=False, roach_motel=False, memo=None):
         self.src_lang = src_lang
         self.src_module = src_module
         self.tgt_lang = tgt_lang
@@ -235,6 +253,13 @@ class LocalSimulationChecker:
         #: Footprints are still cleared at events, calls and returns —
         #: the points where effects become visible to the environment.
         self.roach_motel = roach_motel
+        #: Segment memo: ``(id(lang), id(module), core, mem, flist,
+        #: shared, max_tau)`` → the :class:`_Segment` that
+        #: :func:`_run_to_message` returns for it. Checkers of one
+        #: validation may share one dict (stage *k* is the target of
+        #: pass *k* and the source of pass *k+1*); keys hold module ids,
+        #: so a memo must not outlive the modules it was filled from.
+        self.memo = {} if memo is None else memo
 
     def check_entry(self, entry, args, src_mem, tgt_mem, src_flist,
                     tgt_flist, report=None):
@@ -298,9 +323,9 @@ class LocalSimulationChecker:
                 report.fail("segment budget exceeded")
                 continue
             report.stats.segments += 1
-            src_seg = _run_to_message(
-                self.src_lang, self.src_module, s_core, s_mem,
-                src_flist, mu.src_shared, self.max_tau,
+            src_seg = self._segment(
+                report, self.src_lang, self.src_module, s_core, s_mem,
+                src_flist, mu.src_shared,
             )
             if src_seg.kind == "abort":
                 # Source undefined behaviour: obligation vacuous.
@@ -313,9 +338,9 @@ class LocalSimulationChecker:
                     )
                 )
                 continue
-            tgt_seg = _run_to_message(
-                self.tgt_lang, self.tgt_module, t_core, t_mem,
-                tgt_flist, mu.tgt_shared, self.max_tau,
+            tgt_seg = self._segment(
+                report, self.tgt_lang, self.tgt_module, t_core, t_mem,
+                tgt_flist, mu.tgt_shared,
             )
             if tgt_seg.kind != "msg":
                 report.fail(
@@ -326,14 +351,31 @@ class LocalSimulationChecker:
                 continue
             report.stats.src_steps += src_seg.steps
             report.stats.tgt_steps += tgt_seg.steps
-            src_seg.acc = src_seg.acc.union(s_carry)
-            tgt_seg.acc = tgt_seg.acc.union(t_carry)
+            src_seg = src_seg.carrying(s_carry)
+            tgt_seg = tgt_seg.carrying(t_carry)
 
             if not self._check_obligations(report, src_seg, tgt_seg,
                                            src_fl, tgt_fl):
                 continue
             self._continue(report, stack, src_seg, tgt_seg, depth)
         return report
+
+    def _segment(self, report, lang, module, core, mem, flist, shared):
+        """:func:`_run_to_message`, through the segment memo."""
+        key = (id(lang), id(module), core, mem, flist, shared,
+               self.max_tau)
+        seg = self.memo.get(key)
+        if seg is None:
+            seg = _run_to_message(lang, module, core, mem, flist, shared,
+                                  self.max_tau)
+            self.memo[key] = seg
+            if obs.enabled:
+                obs.inc("validate.segment_memo.misses")
+        else:
+            report.memo_hits += 1
+            if obs.enabled:
+                obs.inc("validate.segment_memo.hits")
+        return seg
 
     # ----- obligations ----------------------------------------------------
 

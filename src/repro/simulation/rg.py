@@ -98,14 +98,14 @@ def inv(mu, src_mem, tgt_mem):
 
 def hg(src_fp, src_mem, flist_addrs, shared):
     """``HG(Δ, Σ, F, S)``: footprint in scope, shared memory closed."""
-    if not src_fp.within(set(flist_addrs) | set(shared)):
+    if not src_fp.within(flist_addrs, shared):
         return False
     return closed_region(shared, src_mem)
 
 
 def lg(mu, tgt_fp, tgt_mem, tgt_flist_addrs, src_fp, src_mem):
     """``LG(µ, (δ, σ, F), (Δ, Σ))``: the low-level guarantee."""
-    if not tgt_fp.within(set(tgt_flist_addrs) | set(mu.tgt_shared)):
+    if not tgt_fp.within(tgt_flist_addrs, mu.tgt_shared):
         return False
     if not closed_region(mu.tgt_shared, tgt_mem):
         return False

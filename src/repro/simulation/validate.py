@@ -10,6 +10,11 @@ rely perturbations) and discharges the Def. 3 obligations.
 Transitivity (Lem. 5) is what makes per-pass validation compose into
 whole-pipeline validation — checked here by also validating
 source-against-final-target directly.
+
+Stage *k* is the target of pass *k*, the source of pass *k+1* and (for
+the source and x86) a side of ``end-to-end``, so one
+:func:`validate_compilation` call shares one segment memo across all
+its checkers: each stage's segments are co-executed once.
 """
 
 import time
@@ -53,7 +58,9 @@ class PassValidation:
 
     ``seconds`` is the real elapsed wall-clock of validating this pass
     (measured around its :func:`validate_pair` call), the raw material
-    of the Fig. 13 table's time column.
+    of the Fig. 13 table's time column. A segment shared with an
+    earlier pass comes from the memo, so its cost is charged to the
+    first pass that ran it.
     """
 
     def __init__(self, pass_name, report, seconds=0.0):
@@ -72,8 +79,12 @@ class PassValidation:
 
 
 def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
-                  shared, lockstep=False, rely_limit=1, max_tau=5000):
-    """Validate one adjacent stage pair on the given entries."""
+                  shared, lockstep=False, rely_limit=1, max_tau=5000,
+                  memo=None):
+    """Validate one adjacent stage pair on the given entries.
+
+    ``memo`` is the checker's segment memo (a fresh one by default).
+    """
     mu = Mu.identity(shared)
     checker = LocalSimulationChecker(
         src_stage.lang,
@@ -84,6 +95,7 @@ def validate_pair(src_stage, tgt_stage, entries_with_args, initial_mem,
         rely_limit=rely_limit,
         lockstep=lockstep,
         max_tau=max_tau,
+        memo=memo,
     )
     report = SimulationReport()
     flist = FreeList.for_thread(0)
@@ -116,12 +128,13 @@ def validate_compilation(result, initial_mem, shared, entries=None,
             for name, func in sorted(source_module.functions.items())
         ]
     validations = []
+    memo = {}
     with obs.span("validate", passes=len(result.stages) - 1):
         for pass_name, src_stage, tgt_stage in result.adjacent_pairs():
             validations.append(
                 _validate_one(
                     pass_name, src_stage, tgt_stage, entries,
-                    initial_mem, shared, lockstep, rely_limit,
+                    initial_mem, shared, lockstep, rely_limit, memo,
                 )
             )
         if include_end_to_end:
@@ -129,22 +142,24 @@ def validate_compilation(result, initial_mem, shared, entries=None,
                 _validate_one(
                     "end-to-end", result.source, result.target,
                     entries, initial_mem, shared, lockstep, rely_limit,
+                    memo,
                 )
             )
     return validations
 
 
 def _validate_one(pass_name, src_stage, tgt_stage, entries, initial_mem,
-                  shared, lockstep, rely_limit):
+                  shared, lockstep, rely_limit, memo):
     """Validate one pass inside a span, with real elapsed timing."""
     with obs.span("validate.pass", pass_name=pass_name) as sp:
         start = time.perf_counter()
         report = validate_pair(
             src_stage, tgt_stage, entries, initial_mem, shared,
-            lockstep=lockstep, rely_limit=rely_limit,
+            lockstep=lockstep, rely_limit=rely_limit, memo=memo,
         )
         elapsed = time.perf_counter() - start
-        sp.set(ok=report.ok, segments=report.stats.segments)
+        sp.set(ok=report.ok, segments=report.stats.segments,
+               memo_hits=report.memo_hits)
     if obs.enabled:
         _record_validation(pass_name, report)
     return PassValidation(pass_name, report, elapsed)

@@ -39,6 +39,8 @@ class TestBasics:
         a = Footprint({1}, {2})
         b = Footprint({3}, {4})
         assert a.union(b) == Footprint({1, 3}, {2, 4})
+        # Empty or identical operands return an operand, unbuilt.
+        assert a.union(EMP) is a and EMP.union(a) is a and a.union(a) is a
 
     def test_subset(self):
         assert Footprint({1}, {2}).subset_of(Footprint({1, 3}, {2}))
@@ -47,11 +49,15 @@ class TestBasics:
     def test_restricted(self):
         fp = Footprint({1, 2}, {3, 4})
         assert fp.restricted({2, 3}) == Footprint({2}, {3})
+        assert EMP.restricted({2, 3}) is EMP
 
     def test_within(self):
         fp = Footprint({1}, {2})
         assert fp.within({1, 2, 3})
         assert not fp.within({1})
+        # δ ⊆ F ∪ S with the two sets passed apart.
+        assert fp.within({1}, {2})
+        assert not fp.within({1}, {3})
 
     def test_union_all(self):
         fps = [Footprint({1}, set()), Footprint(set(), {2})]

@@ -1,5 +1,6 @@
 """CLI observability: --metrics / --trace flags, env-var toggles,
-failure capping — smoke-tested on the quickstart program."""
+failure capping, validate's ledger facts — smoke-tested on the
+quickstart program."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.obs.ledger import compare_manifests, load_manifest
 from repro.simulation.validate import PassValidation
 from repro.simulation.local import SimulationReport
 
@@ -208,3 +210,48 @@ class TestMetricsOutFlag:
         monkeypatch.setenv("REPRO_METRICS_OUT", str(out))
         assert main(["run", quickstart_file]) == 0
         assert "counters" in json.loads(out.read_text())
+
+
+class TestValidateLedger:
+    def test_manifest_records_per_pass_verdicts(
+        self, quickstart_file, tmp_path
+    ):
+        out = tmp_path / "validate.json"
+        assert main(
+            ["validate", quickstart_file, "--ledger", str(out)]
+        ) == 0
+        doc = load_manifest(str(out))
+        assert doc["command"] == "validate"
+        assert doc["verdict"] == "validated"
+        assert doc["failed_passes"] == []
+        assert doc["passes"]["Cshmgen"] == "ok"
+        assert doc["passes"]["end-to-end"] == "ok"
+        assert set(doc["passes"].values()) == {"ok"}
+        assert len(doc["passes"]) == len(doc["pipeline"])
+        assert doc["segments"] > 0
+        assert doc["co_exec_steps"] > doc["segments"]
+
+    def test_compare_diffs_a_rejection(
+        self, quickstart_file, tmp_path, monkeypatch
+    ):
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        assert main(
+            ["validate", quickstart_file, "--ledger", str(good)]
+        ) == 0
+        report = SimulationReport()
+        report.fail("FPmatch violated")
+        monkeypatch.setattr(
+            "repro.cli.validate_compilation",
+            lambda *a, **k: [PassValidation("Cshmgen", report, 0.01)],
+        )
+        assert main(
+            ["validate", quickstart_file, "--ledger", str(bad)]
+        ) == 1
+        doc = load_manifest(str(bad))
+        assert doc["verdict"] == "rejected"
+        assert doc["failed_passes"] == ["Cshmgen"]
+        assert doc["passes"] == {"Cshmgen": "failed"}
+        text, _ = compare_manifests(load_manifest(str(good)), doc)
+        assert "verdict: validated vs rejected — DIFFER" in text
+        assert "failed_passes: [] vs ['Cshmgen'] — DIFFER" in text

@@ -144,6 +144,42 @@ class TestValidationMetrics:
         assert obs.counter_value("validate.co_exec_steps") > 0
         assert obs.counter_value("validate.passes") == len(vals)
 
+    def test_segment_memo_counters(self):
+        obs.configure(metrics=True)
+        module, genv = _build(SEQ)
+        result = compile_minic(module)
+        mem = genv.memory()
+        vals = validate_compilation(result, mem, mem.domain())
+        hits = obs.counter_value("validate.segment_memo.hits")
+        misses = obs.counter_value("validate.segment_memo.misses")
+        # No source aborts here, so every segment looks up both sides.
+        assert hits + misses == 2 * sum(
+            v.report.stats.segments for v in vals
+        )
+        assert hits == sum(v.report.memo_hits for v in vals)
+        assert hits > 0 and misses > 0
+
+    def test_pass_span_carries_memo_hits(self):
+        buf = io.StringIO()
+        obs.configure(trace=buf)
+        module, genv = _build(SEQ)
+        result = compile_minic(module)
+        mem = genv.memory()
+        validate_compilation(result, mem, mem.domain())
+        spans = [
+            rec["attrs"]
+            for rec in map(json.loads, buf.getvalue().splitlines())
+            if rec["type"] == "span" and rec["name"] == "validate.pass"
+        ]
+        assert len(spans) == 13
+        first, *middle, e2e = spans
+        # Stage k was co-executed as pass k's target, so pass k+1's
+        # source side is served by the memo; end-to-end reuses both
+        # the source's and the x86 stage's segments.
+        assert first["memo_hits"] == 0
+        assert all(sp["memo_hits"] == sp["segments"] for sp in middle)
+        assert e2e["memo_hits"] == 2 * e2e["segments"]
+
     def test_per_pass_seconds_recorded(self):
         # The satellite fix: PassValidation carries real elapsed time,
         # not an even share of the total.
