@@ -13,12 +13,14 @@ Address-space layout (flat word addresses, one value per address):
 * ``[0, LOCAL_BASE)`` — statically allocated globals (the shared part
   ``S`` of Fig. 5) and object-managed data;
 * ``[LOCAL_BASE, ∞)`` — thread-local stack space, partitioned into
-  disjoint arithmetic ranges indexed by ``(thread id, call depth)``.
+  disjoint arithmetic ranges indexed by ``(thread id, index)``.
 
-Call depth enters the key because, as in Compositional CompCert, a thread
-is a *stack* of module activations (cross-module calls push a new module
-instance), and each activation owns its own freelist; see
-:mod:`repro.semantics.world`.
+The per-thread index exists because, as in Compositional CompCert, a
+thread is a *stack* of module activations (cross-module calls push a new
+module instance), and each activation owns its own fresh freelist. A
+pushed activation takes the first index from its stack depth up whose
+freelist no live activation owns and has never been allocated from; see
+:meth:`repro.semantics.world.GlobalContext.next_flist`.
 
 The module also provides :class:`SharedCounterAllocator`, the CompCert-
 style shared ``nextblock`` discipline, used only by the ABL-MEM ablation
@@ -30,10 +32,10 @@ from repro.common.errors import SemanticsError
 #: First thread-local address; everything below is shared/global space.
 LOCAL_BASE = 1 << 20
 
-#: Maximum cross-module call depth per thread.
+#: Freelists per thread, which also bounds its cross-module call depth.
 MAX_DEPTH = 64
 
-#: Number of addresses reserved per (thread, depth) freelist.
+#: Number of addresses reserved per (thread, index) freelist.
 SLOT_SPACE = 1 << 14
 
 
@@ -80,7 +82,8 @@ class FreeList:
 
     @classmethod
     def for_thread(cls, tid, depth=0):
-        """The freelist owned by activation ``depth`` of thread ``tid``."""
+        """Freelist number ``depth`` of thread ``tid`` (number 0 is the
+        thread's bottom activation's)."""
         if not 0 <= depth < MAX_DEPTH:
             raise SemanticsError("call depth {} out of range".format(depth))
         return cls(LOCAL_BASE + (tid * MAX_DEPTH + depth) * SLOT_SPACE)

@@ -11,7 +11,7 @@ run leaves behind —
 * a metrics snapshot, from ``--metrics-out`` JSON or the ``metrics``
   record appended to the trace on shutdown —
 
-and renders four sections:
+and renders these sections:
 
 1. **Per-shard phase breakdown** — for every worker, the wall-clock
    split into expand / encode / decode / idle (from the
@@ -37,6 +37,10 @@ and renders four sections:
    graph's bytes-unique vs bytes-if-copied sharing factor, the
    per-type byte breakdown, the per-intern-table occupancy/hit-rate
    rows, and any tracemalloc phase gauges.
+6. **Behaviour enumeration** — ``(state, trace)`` pairs visited,
+   interned traces, divergent states and behaviours found, with the
+   ``behaviours`` spans' seconds and pairs/s, so a slow enumeration
+   shows whether it had many states, many traces or both.
 
 Rendering is pure string-building over the artifacts; nothing is
 re-executed. ``--metrics-format prom`` short-circuits the report and
@@ -390,6 +394,28 @@ def _bytes(value):
         value /= 1024.0
 
 
+# ----- behaviour enumeration ------------------------------------------------
+
+
+def enumeration_summary(metrics):
+    """Behaviour enumeration's work, from the metrics snapshot: calls,
+    seconds, ``(state, trace)`` pairs visited, interned traces,
+    divergent states and behaviours found; ``None`` when no
+    enumeration ran."""
+    counters = metrics.get("counters", {}) if metrics else {}
+    if "behaviours.pairs" not in counters:
+        return None
+    hist = metrics.get("histograms", {}).get("span.behaviours.seconds")
+    return {
+        "calls": hist["count"] if hist else None,
+        "seconds": hist["count"] * hist["mean"] if hist else None,
+        "pairs": counters["behaviours.pairs"],
+        "interned_traces": counters.get("behaviours.interned_traces", 0),
+        "divergent_states": counters.get("behaviours.divergent_states", 0),
+        "behaviours": counters.get("behaviours.traces", 0),
+    }
+
+
 # ----- rendering ------------------------------------------------------------
 
 
@@ -626,6 +652,24 @@ def render_profile(profile, top=12):
                     for name, value in sorted(tm_g.items())
                 )
             )
+
+    enum = enumeration_summary(metrics)
+    if enum:
+        lines.append("")
+        line = (
+            "behaviour enumeration: {:,} (state, trace) pair(s) over "
+            "{:,} interned trace(s), {:,} divergent state(s) -> {:,} "
+            "behaviour(s)".format(
+                enum["pairs"], enum["interned_traces"],
+                enum["divergent_states"], enum["behaviours"],
+            )
+        )
+        if enum["seconds"]:
+            line += "; {} call(s), {} s, {:,.0f} pairs/s".format(
+                enum["calls"], _sec(enum["seconds"]),
+                enum["pairs"] / enum["seconds"],
+            )
+        lines.append(line)
 
     verdict = _verdict(rows, totals, merge, metrics)
     if verdict:

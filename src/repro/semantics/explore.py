@@ -28,9 +28,22 @@ Pure scheduler livelock (a cycle of switch edges with no thread
 progress) exists in every multi-threaded world under both semantics; it
 is not reported as divergence, so that ``silent_div`` marks *program*
 divergence (e.g. a spin loop that can spin forever).
+
+Both :func:`explore` and :func:`behaviours` run with Python's cyclic
+garbage collector paused (:func:`gc_paused`). Building a graph
+allocates hundreds of thousands of long-lived containers, and every
+allocation threshold crossed would otherwise rescan the growing heap,
+yet the graph contains no reference cycles: worlds, frames, cores and
+memories are immutable and refer only to older objects, and edge lists
+hold state ids and labels, so reference counting alone frees them.
+``tests/semantics/test_gc_pause.py`` pins that argument: after
+exploring and enumerating, ``gc.collect()`` finds nothing to free.
 """
 
+import gc
 from collections import deque
+from contextlib import contextmanager
+from itertools import compress
 
 from repro import obs
 from repro.common import intern
@@ -136,6 +149,23 @@ class StateGraph:
 ABORT_DST = -1
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for the body, then restore it.
+
+    Nesting-safe: only the outermost pause re-enables the collector, and
+    a caller that had already disabled it finds it still disabled.
+    Reference counting keeps freeing acyclic garbage meanwhile.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
             observer=None, jobs=None):
     """Build the reachable :class:`StateGraph` under ``semantics``.
@@ -166,7 +196,17 @@ def explore(ctx, semantics, max_states=50000, strict=False, reduce=False,
     boundary, so the combination is rejected — fused race detection
     has its own parallel entry point
     (:func:`repro.semantics.race.find_race` with ``jobs``).
+
+    The whole call runs under :func:`gc_paused`; forked workers inherit
+    the pause and exit with the exploration.
     """
+    with gc_paused():
+        return _explore(
+            ctx, semantics, max_states, strict, reduce, observer, jobs
+        )
+
+
+def _explore(ctx, semantics, max_states, strict, reduce, observer, jobs):
     if jobs is not None and jobs > 1:
         from repro.semantics import parallel
 
@@ -545,105 +585,150 @@ def _record_explore_metrics(graph, frontier_hwm, sp):
     )
 
 
-def _is_silent_label(label):
-    return label is None or label == SW
+#: How a behaviour ends, by the code the enumeration records it under:
+#: a found behaviour is the int ``trace_id * 4 + code``.
+_ENDS = (Behaviour.DONE, Behaviour.ABORT, Behaviour.SILENT_DIV, Behaviour.CUT)
+_DONE, _ABORT, _DIV, _CUT = range(4)
+
+_NO_EDGES = ()
+
+
+def _index_edges(graph):
+    """Integer adjacency of ``graph``, built in one pass over its edges.
+
+    Returns ``(steps, silent, aborting, labels)``; the first two are
+    lists indexed by state id:
+
+    * ``silent[sid]``: destinations of silent and switch edges, the
+      subgraph divergence lives in;
+    * ``steps[sid]``: every non-abort edge, in edge-list order, as
+      ``dst`` when the edge leaves the trace alone and as
+      ``~(lid * n + dst)`` for an event edge labelled ``labels[lid]``
+      (``n`` the state count). A state whose edges are all silent,
+      switch or abort edges shares its ``silent`` list;
+    * ``aborting``: ids of states with an abort edge.
+    """
+    n = len(graph.states)
+    steps = [_NO_EDGES] * n
+    silent = [_NO_EDGES] * n
+    aborting = []
+    label_ids = {}
+    labels = []
+    for sid, edges in graph.edges.items():
+        si = []
+        st = None
+        aborts = False
+        for label, dst in edges:
+            if dst == ABORT_DST:
+                aborts = True
+            elif label is None or label == SW:
+                si.append(dst)
+                if st is not None:
+                    st.append(dst)
+            else:
+                if st is None:
+                    st = si[:]
+                if isinstance(label, EventMsg):
+                    lid = label_ids.get(label)
+                    if lid is None:
+                        lid = label_ids[label] = len(labels)
+                        labels.append(label)
+                    st.append(~(lid * n + dst))
+                else:
+                    st.append(dst)
+        if si:
+            silent[sid] = si
+        if st is not None:
+            steps[sid] = st
+        elif si:
+            steps[sid] = si
+        if aborts:
+            aborting.append(sid)
+    return steps, silent, aborting, labels
 
 
 def _progress_divergent_states(graph):
-    """States lying on a silent cycle that contains a thread step.
+    """States lying on a silent cycle that contains a thread step, or
+    silently reaching one (see :func:`_divergent`)."""
+    div = _divergent(graph, _index_edges(graph)[1])
+    return set(compress(range(len(div)), div))
 
-    Uses Tarjan's SCC on the silent-edge subgraph; an SCC diverges when
-    it contains an internal non-switch silent edge (real thread
-    progress) on some cycle. Then every state that silently reaches a
-    divergent SCC can diverge.
+
+def _divergent(graph, silent):
+    """Flags, by state id, of the states that can diverge silently
+    while making thread progress.
+
+    Tarjan's SCC over the silent-edge subgraph ``silent``, on list and
+    bytearray arrays indexed by state id. An SCC diverges when one of
+    its silent thread steps stays inside it (a cycle with progress), or
+    when a silent edge leaves it for a diverging SCC. Tarjan emits an
+    SCC only after every SCC it reaches, so those flags are final by
+    then, and the backward closure needs no reverse graph.
     """
-    n = graph.state_count()
-    silent = {
-        sid: [
-            d
-            for (lbl, d) in graph.edges.get(sid, [])
-            if d != ABORT_DST and _is_silent_label(lbl)
-        ]
-        for sid in range(n)
-    }
-    index = {}
-    lowlink = {}
-    on_stack = set()
+    n = len(silent)
+    edges_of = graph.edges
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    div = bytearray(n)
     stack = []
-    counter = [0]
-    sccs = []
-
-    def strongconnect(v):
-        # Iterative Tarjan to survive deep graphs.
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = counter[0]
-                lowlink[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(pi, len(silent[node])):
-                w = silent[node][i]
-                if w not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[node] = min(lowlink[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for v in range(n):
-        if v not in index:
-            strongconnect(v)
-
-    div_core = set()
-    for comp in sccs:
-        comp_set = set(comp)
-        internal_cycle = len(comp) > 1 or any(
-            d == comp[0] for d in silent[comp[0]]
-        )
-        if not internal_cycle:
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        has_progress = any(
-            lbl is None and d in comp_set
-            for sid in comp
-            for (lbl, d) in graph.edges.get(sid, [])
-            if d != ABORT_DST and _is_silent_label(lbl)
-        )
-        if has_progress:
-            div_core |= comp_set
-
-    # Backward closure over silent edges.
-    rev = {sid: [] for sid in range(n)}
-    for sid in range(n):
-        for d in silent[sid]:
-            rev[d].append(sid)
-    div = set(div_core)
-    queue = deque(div_core)
-    while queue:
-        node = queue.popleft()
-        for pred in rev[node]:
-            if pred not in div:
-                div.add(pred)
-                queue.append(pred)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        # Iterative, to survive deep graphs.
+        work = [(root, iter(silent[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(silent[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv != index[v]:
+                    if lv < low[work[-1][0]]:
+                        low[work[-1][0]] = lv
+                    continue
+                if stack[-1] == v:
+                    comp = (stack.pop(),)
+                else:
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    comp = stack[i:]
+                    del stack[i:]
+                # A root's SCC has no silent edge to any other node
+                # still on the stack, so for its members' edges "on
+                # the stack" is "in this SCC".
+                diverges = False
+                for w in comp:
+                    for label, d in edges_of.get(w, _NO_EDGES):
+                        if d == ABORT_DST:
+                            continue
+                        if label is None:
+                            if on_stack[d] or div[d]:
+                                diverges = True
+                                break
+                        elif label == SW and div[d]:
+                            diverges = True
+                            break
+                    if diverges:
+                        break
+                for w in comp:
+                    on_stack[w] = 0
+                    div[w] = diverges
     return div
 
 
@@ -660,24 +745,73 @@ def behaviours(graph, max_events=10, max_nodes=200000, strict=False):
     as inconclusive — matching :func:`explore`'s truncation policy
     instead of crashing report pipelines mid-run. ``strict=True``
     raises :class:`ExplorationLimit`.
+
+    Runs under :func:`gc_paused`, like :func:`explore`.
     """
-    with obs.span("behaviours", max_events=max_events) as sp:
-        result = _behaviours(graph, max_events, max_nodes, strict)
+    with gc_paused(), obs.span("behaviours", max_events=max_events) as sp:
+        result, pairs, traces, divergent = _behaviours(
+            graph, max_events, max_nodes, strict
+        )
         if obs.enabled:
             obs.inc("behaviours.traces", len(result))
-            sp.set(traces=len(result))
+            obs.inc("behaviours.pairs", pairs)
+            obs.inc("behaviours.interned_traces", traces)
+            obs.inc("behaviours.divergent_states", divergent)
+            sp.set(
+                traces=len(result),
+                pairs=pairs,
+                interned_traces=traces,
+                divergent_states=divergent,
+            )
     return result
 
 
 def _behaviours(graph, max_events, max_nodes, strict):
-    div_states = _progress_divergent_states(graph)
-    result = set()
+    """The enumeration behind :func:`behaviours`.
+
+    Traces are interned in a trie: trace id 0 is the empty trace, and
+    ``trie[tid * n_labels + lid]`` is the id of trace ``tid`` extended
+    by ``labels[lid]``. A ``(state, trace)`` pair is then the single int
+    ``tid * n + sid``, so the BFS never hashes a trace tuple, and each
+    found behaviour is the int ``tid * 4 + end code``, turned into a
+    :class:`Behaviour` once at the end. The FIFO order, and with it the
+    set a ``max_nodes`` cut reports, is the plain pair BFS's.
+
+    Returns ``(behaviour frozenset, visited pairs, interned traces,
+    divergent states)``.
+    """
+    with obs.span("behaviours.divergence"):
+        steps, silent, aborting, labels = _index_edges(graph)
+        div = list(compress(range(len(steps)), _divergent(graph, silent)))
+    n = len(steps)
+    n_labels = len(labels)
+
+    # The end codes a visit to each state records; done and stuck
+    # states end the trace, so their edges are never followed.
+    ends_at = [_NO_EDGES] * n
+    for sids, code in (
+        (graph.truncated, (_CUT,)), (div, (_DIV,)), (aborting, (_ABORT,))
+    ):
+        for sid in sids:
+            ends_at[sid] += code
+    for sids, code in ((graph.stuck, (_ABORT,)), (graph.done, (_DONE,))):
+        for sid in sids:
+            ends_at[sid] = code
+            steps[sid] = _NO_EDGES
+
+    traces = [()]
+    lengths = [0]
+    trie = {}
+    found = set()
     visited = set()
     queue = deque()
     for sid in graph.initial:
-        queue.append((sid, ()))
-        visited.add((sid, ()))
-
+        queue.append(sid)
+        visited.add(sid)
+    record = found.add
+    visit = visited.add
+    push = queue.append
+    pop = queue.popleft
     while queue:
         if len(visited) > max_nodes:
             if strict:
@@ -695,35 +829,39 @@ def _behaviours(graph, max_events, max_nodes, strict):
             )
             if obs.enabled:
                 obs.inc("behaviours.truncated_nodes", len(queue))
-            for sid, trace in queue:
-                result.add(Behaviour(trace, Behaviour.CUT))
+            for key in queue:
+                record(key // n * 4 + _CUT)
             break
-        sid, trace = queue.popleft()
-        if sid in graph.done:
-            result.add(Behaviour(trace, Behaviour.DONE))
-            continue
-        if sid in graph.stuck:
-            result.add(Behaviour(trace, Behaviour.ABORT))
-            continue
-        if sid in graph.truncated:
-            result.add(Behaviour(trace, Behaviour.CUT))
-        if sid in div_states:
-            result.add(Behaviour(trace, Behaviour.SILENT_DIV))
-        for label, dst in graph.edges.get(sid, []):
-            if dst == ABORT_DST:
-                result.add(Behaviour(trace, Behaviour.ABORT))
-                continue
-            if isinstance(label, EventMsg):
-                if len(trace) >= max_events:
-                    result.add(Behaviour(trace, Behaviour.CUT))
-                    continue
-                nxt = (dst, trace + (label,))
+        key = pop()
+        sid = key % n
+        base = key - sid
+        tid = base // n
+        codes = ends_at[sid]
+        if codes:
+            for code in codes:
+                record(tid * 4 + code)
+        for e in steps[sid]:
+            if e >= 0:
+                k = base + e
             else:
-                nxt = (dst, trace)
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-    return frozenset(result)
+                if lengths[tid] >= max_events:
+                    record(tid * 4 + _CUT)
+                    continue
+                lid, dst = divmod(~e, n)
+                tk = tid * n_labels + lid
+                child = trie.get(tk)
+                if child is None:
+                    child = trie[tk] = len(traces)
+                    traces.append(traces[tid] + (labels[lid],))
+                    lengths.append(lengths[tid] + 1)
+                k = child * n + dst
+            if k not in visited:
+                visit(k)
+                push(k)
+    result = frozenset(
+        Behaviour(traces[c >> 2], _ENDS[c & 3]) for c in found
+    )
+    return result, len(visited), len(traces), len(div)
 
 
 def program_behaviours(ctx, semantics, max_states=50000, max_events=10,

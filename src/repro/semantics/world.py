@@ -427,13 +427,28 @@ class GlobalContext:
     def next_flist(self, world):
         """A fresh freelist for a pushed activation of the current thread.
 
-        Depth-indexed so freelists of nested activations are disjoint
-        from each other and from every other thread's.
+        Fresh means: owned by no activation on the thread's stack, and
+        no slot of it allocated in the world's memory. Activations
+        allocate positionally from slot 0, so a freelist whose slot 0 is
+        unallocated has never been allocated from. Memory is never
+        freed, so a second call to an external function that allocates
+        must not reuse the first call's freelist.
+
+        Candidates are the thread's freelists from index ``depth`` (the
+        stack depth) up, so the first activation at each depth gets the
+        depth-indexed freelist, and a callee that allocates nothing
+        leaves its freelist fresh for the next call: repeated calls in
+        a loop reach the same worlds.
         """
-        depth = len(world.threads[world.cur])
-        if depth >= MAX_DEPTH:
-            raise SemanticsError("call depth exceeded")
-        return FreeList.for_thread(world.cur, depth)
+        cur = world.cur
+        stack = world.threads[cur]
+        live = {frame.flist for frame in stack}
+        mem = world.mem
+        for index in range(len(stack), MAX_DEPTH):
+            flist = FreeList.for_thread(cur, index)
+            if flist not in live and flist.addr_at(0) not in mem:
+                return flist
+        raise SemanticsError("call depth exceeded")
 
     def spawn_flist(self, world):
         """The freelist of a newly spawned thread.

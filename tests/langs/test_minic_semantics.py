@@ -178,3 +178,53 @@ class TestWholeProgram:
             ["t1", "t2"],
         )
         assert done_traces(behaviours_of(prog)) == {(7, 8), (8, 7)}
+
+    def test_repeated_external_call_gets_fresh_freelist(self):
+        # The second activation of g must not reuse the first one's
+        # freelist: its parameter slot is still allocated.
+        callee = "int g(int x) { return x; }"
+        prog, _, _, _ = minic_program(
+            [
+                "extern int g(int); "
+                "void main() { int a; a = g(1); a = g(2); }",
+                callee,
+            ],
+            ["main"],
+        )
+        assert done_traces(behaviours_of(prog)) == {()}
+        prog, _, _, _ = minic_program(
+            [
+                "extern int g(int); "
+                "void main() { int a; a = g(1); a = g(a + 2); print(a); }",
+                callee,
+            ],
+            ["main"],
+        )
+        assert done_traces(behaviours_of(prog)) == {(3,)}
+
+    def test_nested_repeated_external_calls(self):
+        prog, _, _, _ = minic_program(
+            [
+                "extern int g(int); "
+                "void main() { int a; a = g(1); a = g(a); print(a); }",
+                "extern int h(int); "
+                "int g(int x) { int y; y = h(x); y = h(y); return y; }",
+                "int h(int x) { int z; z = x + 1; return z; }",
+            ],
+            ["main"],
+        )
+        assert done_traces(behaviours_of(prog)) == {(5,)}
+
+    def test_loop_over_non_allocating_external_stays_finite(self):
+        # A callee that allocates nothing leaves its freelist fresh, so
+        # every iteration pushes the same activation.
+        prog, _, _, _ = minic_program(
+            [
+                "extern void e(); "
+                "void main() { while (1) { e(); } }",
+                "void e() { }",
+            ],
+            ["main"],
+        )
+        behs = behaviours_of(prog, max_states=500)
+        assert {b.end for b in behs} == {"silent_div"}

@@ -120,6 +120,28 @@ class TestGlobalContext:
         with pytest.raises(SemanticsError):
             ctx.next_flist(deep)
 
+    def test_next_flist_is_fresh(self):
+        prog = cimp_program("f(){ skip; }", ["f"])
+        ctx = GlobalContext(prog)
+        world = ctx.load()[0]
+        first = ctx.next_flist(world)
+        # The first activation at a depth gets the depth's freelist.
+        assert first == FreeList.for_thread(0, 1)
+        # Once a returned activation allocated from it, the next call
+        # at the same depth gets another one.
+        used = World(
+            world.threads, 0, world.bits,
+            world.mem.alloc(first.addr_at(0), VInt(1)),
+        )
+        second = ctx.next_flist(used)
+        assert second == FreeList.for_thread(0, 2)
+        # Nor is a freelist an activation on the stack owns reused,
+        # even if that activation has not allocated yet.
+        pushed = used.push_frame(Frame(0, second, "k"))
+        third = ctx.next_flist(pushed)
+        assert third not in (first, second)
+        assert third == FreeList.for_thread(0, 3)
+
     def test_spawn_flist_disjoint(self):
         prog = cimp_program("f(){ skip; } g(){ skip; }", ["f", "g"])
         ctx = GlobalContext(prog)
