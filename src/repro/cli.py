@@ -78,7 +78,6 @@ import os
 import sys
 
 from repro import obs
-from repro.common.serialize import ENV_STATELESS
 from repro.lang.module import ModuleDecl, Program
 from repro.langs.cimp.semantics import CIMP
 from repro.langs.minic import compile_unit, link_units
@@ -195,7 +194,6 @@ def _note_run_config(args, result, entries):
         name
         for name, on in (
             ("por", bool(por)),
-            ("stateless-wire", bool(os.environ.get(ENV_STATELESS))),
             ("heap-profile", heap.enabled()),
         )
         if on
@@ -209,7 +207,6 @@ def _note_run_config(args, result, entries):
         jobs=getattr(args, "jobs", 1),
         max_states=getattr(args, "max_states", None),
         max_atomic_steps=getattr(args, "max_atomic_steps", None),
-        stateless_wire=bool(os.environ.get(ENV_STATELESS)),
         heap_profile=heap.enabled(),
     )
     ledger.note(
@@ -438,6 +435,12 @@ def cmd_profile(args):
         profile = load_profile(args.trace_file, args.metrics_in)
     except OSError as exc:
         raise UsageError("cannot read profile inputs: {}".format(exc))
+    if not profile["main"]:
+        raise UsageError(
+            "no trace records in {!r}: profile reads a --trace JSONL "
+            "file; pass a metrics snapshot with --metrics-in "
+            "FILE".format(args.trace_file)
+        )
     if args.metrics_format == "prom":
         if profile["metrics"] is None:
             raise UsageError(
@@ -514,6 +517,21 @@ def cmd_compare(args):
     if regressions and args.fail_on_regression:
         return 1
     return 0
+
+
+def _jobs_count(text):
+    """``--jobs`` values: integers >= 1, like ``REPRO_JOBS``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: {!r}".format(text)
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, got {}".format(value)
+        )
+    return value
 
 
 def make_parser():
@@ -619,7 +637,7 @@ def make_parser():
 
     def jobs_flag(p):
         p.add_argument(
-            "-j", "--jobs", type=int, default=default_jobs(),
+            "-j", "--jobs", type=_jobs_count, default=default_jobs(),
             metavar="N",
             help="shard the exploration across N forked worker "
             "processes (default: REPRO_JOBS env setting or 1 = "

@@ -2,7 +2,7 @@
 
 ``--ledger FILE`` (or ``REPRO_LEDGER=FILE``) makes every ``repro``
 command write one ``run.json`` manifest on exit: the fully *resolved*
-configuration (POR/jobs/wire gates — what actually ran, not
+configuration (POR/jobs/heap-profile gates — what actually ran, not
 what was typed), the hash seed, a content hash of the input program
 plus the pass pipeline, per-phase wall times, the final metrics
 snapshot, the behaviour fingerprint, the verdict and the exit status.
@@ -10,9 +10,8 @@ snapshot, the behaviour fingerprint, the verdict and the exit status.
 Two consumers motivate the shape:
 
 * ``repro compare A B`` diffs two manifests — configs, fingerprints,
-  phases and counters, with the same ratio-symmetric delta the perf
-  trajectory gate uses (:func:`ratio_delta` is the importable helper
-  ``benchmarks/trajectory.py`` now reuses) — so "did this change make
+  phases and counters, with a ratio-symmetric delta
+  (:func:`ratio_delta`) — so "did this change make
   runs slower or change behaviour?" is one command over two artifacts
   instead of archaeology over logs.
 * The ``content_hash`` key is deliberately the cache key shape the

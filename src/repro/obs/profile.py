@@ -294,7 +294,6 @@ _WIRE_HISTOGRAMS = (
     ("parallel.wire.batch_worlds", "worlds per batch"),
     ("parallel.wire.batch_bytes", "bytes per batch"),
     ("parallel.wire.world_bytes", "bytes per shipped world"),
-    ("serialize.encode.memo_entries", "pickle-memo entries per batch"),
 )
 
 

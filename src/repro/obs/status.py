@@ -17,7 +17,7 @@ Design constraints, in order:
   (they keep a countdown integer); ``beat`` itself is one monotonic
   clock read and a compare until a beat is actually due. The heartbeat
   gate on the 3-thread SCALE workload is ≤2% end-to-end
-  (``benchmarks/bench_pr9.py``).
+  (``benchmarks/heartbeat_overhead.py``).
 * **A reader can never see a torn document.** Every beat is written to
   a same-directory temp file and :func:`os.replace`'d over the target —
   the rename is atomic on POSIX, so a concurrent poller sees either

@@ -113,7 +113,6 @@ from repro import obs
 from repro.obs import heap as _heap
 from repro.obs import status as _status
 from repro.common.serialize import (
-    ENV_STATELESS,
     ChannelDecoder,
     ChannelEncoder,
     clear_static_table,
@@ -130,7 +129,6 @@ from repro.semantics.explore import (
 from repro.semantics.nonpreemptive import NonPreemptiveSemantics
 from repro.semantics.por import AmpleReducer
 from repro.semantics.race import RaceWitness, _RaceChecker
-from repro.semantics.world import reset_intern_tables
 
 #: Environment variable the CLI's ``--jobs`` defaults from.
 ENV_JOBS = "REPRO_JOBS"
@@ -918,14 +916,6 @@ def _merge_graph(initial, records):
 def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
                   race_cfg):
     """Coordinator: fork workers, seed shards, merge, terminate."""
-    # Start from empty intern tables: worlds interned by a previous
-    # run in this process — in particular a stateless-decode run whose
-    # memories were rebuilt around private base dicts — would
-    # otherwise become this run's canonical representatives and defeat
-    # the wire encoder's id-matched delta cache (see
-    # ``reset_intern_tables``). Must happen before
-    # ``initial_worlds``, which interns.
-    reset_intern_tables()
     mp_ctx = multiprocessing.get_context("fork")
     inboxes = [mp_ctx.Queue() for _ in range(jobs)]
     coord_q = mp_ctx.Queue()
@@ -960,15 +950,11 @@ def _run_parallel(ctx, semantics, jobs, max_states, strict, use_por,
         obs.tracer.flush()
     # The static segment must exist *before* forking: every worker
     # inherits the same table and resolves static refs against its own
-    # pointer-identical copy. Stateless mode (the benchmark's "before"
-    # baseline) runs without one.
+    # pointer-identical copy.
     initial = list(semantics.initial_worlds(ctx))
-    if os.environ.get(ENV_STATELESS):
-        static_count = 0
-    else:
-        static_count = install_static_table(
-            collect_static_objects(ctx, initial)
-        )
+    static_count = install_static_table(
+        collect_static_objects(ctx, initial)
+    )
     try:
         return _run_forked(
             ctx, semantics, jobs, max_states, mp_ctx, inboxes,

@@ -75,21 +75,6 @@ def _intern_world(threads, cur, bits, mem):
         _WORLDS.peak_size = len(table)
     return world
 
-def reset_intern_tables():
-    """Empty the frame/world intern tables.
-
-    Interning is an optimization (structural ``__eq__`` is the truth),
-    so this is always safe. The parallel explorer calls it at the
-    start of every run: a previous stateless-decode run
-    (``REPRO_WIRE_STATELESS=1``) interns worlds whose memories were
-    rebuilt with private base dicts, and a later channel run in the
-    same process would otherwise inherit those canonical worlds and
-    lose every memory-delta opportunity (the encoder's base cache
-    matches by ``id``).
-    """
-    _FRAMES.table.clear()
-    _WORLDS.table.clear()
-
 
 #: Marks a function name defined by more than one module: linking is
 #: still fine, but resolving that name is an error (as in

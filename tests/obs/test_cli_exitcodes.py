@@ -140,6 +140,14 @@ class TestJobsFlag:
         )
         assert args.jobs == 3
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, racy_file, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["drf", racy_file, "--threads", "t1,t2",
+                  "--jobs", value])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
 
 class TestWitnessMeta:
     def test_meta_records_actual_bound(self, racy_file, tmp_path,

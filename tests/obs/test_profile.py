@@ -249,6 +249,21 @@ class TestProfileCLI:
     def test_profile_missing_trace_is_usage_error(self, tmp_path):
         assert main(["profile", str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_profile_of_a_metrics_snapshot_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "p.c"
+        src.write_text("int g = 0;\nvoid main() { g = 1; print(g); }\n")
+        snap = tmp_path / "m.json"
+        assert main(["validate", str(src),
+                     "--metrics-out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["profile", str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert "no trace records" in err
+        assert str(snap) in err
+        assert "--metrics-in" in err
+
     def test_profile_prom_without_metrics_is_usage_error(
         self, tmp_path, capsys
     ):

@@ -7,8 +7,10 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.framework.build import lock_counter_system
 from repro.obs import status
 from repro.obs.status import StatusWriter, write_atomic
+from repro.semantics import GlobalContext, PreemptiveSemantics, explore
 
 
 @pytest.fixture(autouse=True)
@@ -380,6 +382,27 @@ class TestRenderStatus:
         )
         assert "intern tables:" in out
         assert "world=6,330" in out
+
+
+def _graph_tuple(graph):
+    return (
+        graph.states, graph.edges, graph.initial,
+        graph.done, graph.stuck, graph.truncated,
+    )
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["full", "por"])
+def test_heartbeat_never_perturbs_exploration(tmp_path, reduce):
+    """Sequential exploration of the 3-thread lock counter gives the
+    same graph with the heartbeat on (beating on every stride) as
+    with it off."""
+    ctx = GlobalContext(lock_counter_system(3).source_program())
+    off = explore(ctx, PreemptiveSemantics(), 100000, reduce=reduce)
+    st = tmp_path / "st.json"
+    status.configure(str(st), interval=0.0)
+    on = explore(ctx, PreemptiveSemantics(), 100000, reduce=reduce)
+    assert _read(st)["beats"] > 1
+    assert _graph_tuple(on) == _graph_tuple(off)
 
 
 QUICKSTART = """
