@@ -3,7 +3,7 @@
 Three stages, mirroring the structure (not the sophistication) of
 CompCert's allocator:
 
-1. **Liveness** — backward dataflow fixpoint over the CFG.
+1. **Liveness** — backward dataflow worklist solver over the CFG.
 2. **Assignment** — virtual registers live across a call are assigned
    stack slots (calls clobber every machine register under our
    convention); the rest are greedily colored with the ``POOL``
@@ -63,21 +63,44 @@ def _successors(instr):
 
 
 def liveness(func):
-    """``pc -> live_out`` by backward fixpoint."""
-    live_in = {pc: set() for pc in func.code}
-    live_out = {pc: set() for pc in func.code}
-    changed = True
-    while changed:
-        changed = False
-        for pc, instr in func.code.items():
-            out = set()
-            for succ in _successors(instr):
-                out |= live_in[succ]
-            inn = _uses(instr) | (out - _defs(instr))
-            if out != live_out[pc] or inn != live_in[pc]:
-                live_out[pc] = out
-                live_in[pc] = inn
-                changed = True
+    """``(pc -> live_in, pc -> live_out)``: the least solution of the
+    backward liveness equations.
+
+    A worklist solver in the style of CompCert's backward Kildall:
+    use/def sets and predecessor lists are computed once per pc, every
+    pc starts on the worklist, and a pc's predecessors are re-queued
+    only when its ``live_in`` grows. The worklist is a stack seeded in
+    code order, so the last pc is solved first.
+    """
+    code = func.code
+    uses = {}
+    defs = {}
+    succs = {}
+    preds = {pc: [] for pc in code}
+    for pc, instr in code.items():
+        uses[pc] = _uses(instr)
+        defs[pc] = _defs(instr)
+        succs[pc] = targets = _successors(instr)
+        for succ in targets:
+            preds[succ].append(pc)
+    live_in = {pc: set() for pc in code}
+    live_out = dict.fromkeys(code)
+    work = list(code)
+    queued = set(work)
+    while work:
+        pc = work.pop()
+        queued.discard(pc)
+        out = set()
+        for succ in succs[pc]:
+            out |= live_in[succ]
+        live_out[pc] = out
+        inn = uses[pc] | (out - defs[pc])
+        if inn != live_in[pc]:
+            live_in[pc] = inn
+            for pred in preds[pc]:
+                if pred not in queued:
+                    queued.add(pred)
+                    work.append(pred)
     return live_in, live_out
 
 

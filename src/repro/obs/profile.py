@@ -415,6 +415,31 @@ def enumeration_summary(metrics):
     }
 
 
+# ----- witness minimisation -------------------------------------------------
+
+
+def minimization_summary(metrics):
+    """ddmin's work, from the metrics snapshot: calls, seconds, walk
+    attempts, steps stepped and steps skipped by resuming from the
+    shared prefix, steps removed and budget hits; ``None`` when no
+    witness was minimised."""
+    counters = metrics.get("counters", {}) if metrics else {}
+    if "witness.minimize.attempts" not in counters:
+        return None
+    hist = metrics.get("histograms", {}).get(
+        "span.witness.minimize.seconds"
+    )
+    return {
+        "calls": hist["count"] if hist else None,
+        "seconds": hist["count"] * hist["mean"] if hist else None,
+        "attempts": counters["witness.minimize.attempts"],
+        "walked_steps": counters.get("witness.minimize.walked_steps", 0),
+        "resumed_steps": counters.get("witness.minimize.resumed_steps", 0),
+        "removed_steps": counters.get("witness.minimize.removed_steps", 0),
+        "budget_hits": counters.get("witness.minimize.budget_hits", 0),
+    }
+
+
 # ----- rendering ------------------------------------------------------------
 
 
@@ -667,6 +692,24 @@ def render_profile(profile, top=12):
             line += "; {} call(s), {} s, {:,.0f} pairs/s".format(
                 enum["calls"], _sec(enum["seconds"]),
                 enum["pairs"] / enum["seconds"],
+            )
+        lines.append(line)
+
+    mini = minimization_summary(metrics)
+    if mini:
+        lines.append("")
+        line = (
+            "witness minimisation: {:,} walk(s) stepped {:,} step(s) "
+            "and resumed past {:,} shared-prefix step(s); {:,} step(s) "
+            "removed, {:,} budget hit(s)".format(
+                mini["attempts"], mini["walked_steps"],
+                mini["resumed_steps"], mini["removed_steps"],
+                mini["budget_hits"],
+            )
+        )
+        if mini["seconds"]:
+            line += "; {} call(s), {} s".format(
+                mini["calls"], _sec(mini["seconds"])
             )
         lines.append(line)
 

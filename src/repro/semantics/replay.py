@@ -311,6 +311,16 @@ class _Minimizer:
     bound stops shrinking and keeps the best (still racy, still
     replayable) schedule found so far — bounded minimization degrades
     to *less minimal*, never to *invalid*.
+
+    ``trail`` holds the worlds along the current surviving schedule,
+    initial world first: ``trail[k]`` is the world after its first
+    ``k`` moves. The walks that made it survive found every world
+    before the last one not racy and not done, and a walk is
+    deterministic, so a candidate sharing the first ``start`` moves
+    resumes at ``trail[start]``: the worlds before it are neither
+    re-stepped nor re-checked. ``walked_steps`` counts the steps
+    actually stepped, ``resumed_steps`` the prefix steps skipped by
+    resuming.
     """
 
     def __init__(self, ctx, semantics, quantum, max_atomic, init,
@@ -319,7 +329,10 @@ class _Minimizer:
         self.semantics = semantics
         self.init = init
         self.checker = _RaceChecker(ctx, quantum, max_atomic)
+        self.trail = [semantics.initial_worlds(ctx)[init]]
         self.attempts = 0
+        self.walked_steps = 0
+        self.resumed_steps = 0
         self.max_rounds = max_rounds
         self.deadline = deadline
         self.clock = clock
@@ -334,27 +347,37 @@ class _Minimizer:
             return True
         return False
 
-    def walk(self, moves):
+    def walk(self, moves, start=0):
         """Re-walk ``moves``; return the surviving move list or ``None``.
 
         A walk survives when every move finds a matching successor and
         the Race rule fires at some visited world — the walk is then
         truncated there, which is how suffix shrinking falls out for
-        free.
+        free. ``moves[:start]`` must be a prefix of the current
+        surviving schedule: the walk resumes at ``trail[start]``. Only
+        a surviving walk replaces the trail (from ``start`` on).
         """
         self.attempts += 1
-        world = self.semantics.initial_worlds(self.ctx)[self.init]
-        for k, move in enumerate(moves):
+        self.resumed_steps += start
+        world = self.trail[start]
+        tail = []
+        for move in moves[start:]:
             if self.checker(world):
-                return list(moves[:k])
+                break
             if world.is_done():
                 return None
             outs = self.semantics.successors(self.ctx, world)
+            self.walked_steps += 1
             i = _match_move(world, outs, move)
             if i is None:
                 return None
             world = outs[i].world
-        return list(moves) if self.checker(world) else None
+            tail.append(world)
+        else:
+            if not self.checker(world):
+                return None
+        self.trail[start + 1:] = tail
+        return list(moves[:start + len(tail)])
 
     def ddmin(self, moves):
         """Delta-debugging deletion loop: locally 1-minimal result
@@ -377,7 +400,7 @@ class _Minimizer:
                     self.budget_hit = True
                     return moves, rounds
                 candidate = moves[:start] + moves[start + chunk:]
-                survived = self.walk(candidate)
+                survived = self.walk(candidate, start)
                 if survived is not None:
                     moves = survived
                     granularity = max(granularity - 1, 2)
@@ -401,6 +424,7 @@ def minimize_witness(ctx, record, semantics=None, max_rounds=None,
     prediction pair is re-derived at the minimized world. The original
     record is left untouched. Counters: ``witness.minimize.attempts``,
     ``witness.minimize.rounds``, ``witness.minimize.removed_steps``,
+    ``witness.minimize.walked_steps``, ``witness.minimize.resumed_steps``,
     ``witness.minimize.budget_hits``.
 
     ``max_rounds`` caps ddmin deletion rounds and ``max_seconds`` the
@@ -445,10 +469,16 @@ def minimize_witness(ctx, record, semantics=None, max_rounds=None,
             obs.inc("witness.minimize.attempts", minimizer.attempts)
             obs.inc("witness.minimize.rounds", rounds)
             obs.inc("witness.minimize.removed_steps", removed)
+            obs.inc("witness.minimize.walked_steps",
+                    minimizer.walked_steps)
+            obs.inc("witness.minimize.resumed_steps",
+                    minimizer.resumed_steps)
             if minimizer.budget_hit:
                 obs.inc("witness.minimize.budget_hits")
             sp.set(
                 attempts=minimizer.attempts,
+                walked_steps=minimizer.walked_steps,
+                resumed_steps=minimizer.resumed_steps,
                 removed=removed,
                 final_steps=len(record_min.schedule.steps),
                 budget_hit=minimizer.budget_hit,
@@ -457,10 +487,14 @@ def minimize_witness(ctx, record, semantics=None, max_rounds=None,
 
 
 def _rebuild(ctx, semantics, minimizer, record, moves):
-    """Re-capture the minimized walk as an exact index schedule."""
-    world = semantics.initial_worlds(ctx)[minimizer.init]
+    """Re-capture the minimized walk as an exact index schedule.
+
+    ``minimizer.trail`` holds the worlds along ``moves`` (the last
+    surviving walk's), so only the successor indices are re-derived.
+    """
+    trail = minimizer.trail
     steps = []
-    for move in moves:
+    for world, move in zip(trail, moves):
         outs = semantics.successors(ctx, world)
         i = _match_move(world, outs, move)
         if i is None:  # pragma: no cover - walk() already validated
@@ -469,7 +503,7 @@ def _rebuild(ctx, semantics, minimizer, record, moves):
                 expected=move,
             )
         steps.append(_make_step(i, world, outs[i]))
-        world = outs[i].world
+    world = trail[len(moves)]
     checker = _RaceChecker(
         ctx, minimizer.checker.quantum, minimizer.checker.max_atomic_steps
     )
